@@ -94,7 +94,7 @@ bench-sim:
 # exchange must move strictly fewer wire words than broadcasting the
 # operand, for both SpMV (x vector) and SpGEMM (the whole B array).
 bench-ops:
-	$(GO) test -run '^$$' -bench 'BenchmarkSpMV$$|BenchmarkDistSpGEMM' -benchtime=3x . \
+	$(GO) test -run '^$$' -bench 'BenchmarkSpMV$$|BenchmarkDistSpGEMM' -benchtime=3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out /tmp/bench_ops.json
 	$(GO) run ./cmd/benchjson -ratio -metric wire-words -max 0.95 /tmp/bench_ops.json \
 		BenchmarkSpMV/halo BenchmarkSpMV/broadcast

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -215,7 +216,8 @@ func TestPowerIteration(t *testing.T) {
 }
 
 // TestDistSpGEMMOracle verifies the row-fetch SpGEMM element-wise
-// against the sequential Gustavson kernel.
+// against the sequential Gustavson kernel, and its charged traffic and
+// work against counts recomputed from the plan and B.
 func TestDistSpGEMMOracle(t *testing.T) {
 	ga := sparse.Uniform(30, 24, 0.15, 11)
 	gb := sparse.Uniform(24, 18, 0.2, 12)
@@ -237,13 +239,21 @@ func TestDistSpGEMMOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertCRSEqual(t, c, want)
-					if st.WireWords <= 0 {
-						t.Fatalf("no traffic accounted: %+v", st)
-					}
+					assertSpGEMMCharge(t, st, ga, pl, bcrs)
 				})
 			}
 		}
 	}
+	t.Run("column-out-of-range", func(t *testing.T) {
+		d, pl := distribute(t, ga, core.Config{Procs: 4})
+		defer d.Close()
+		bad := *bcrs
+		bad.ColIdx = slices.Clone(bcrs.ColIdx)
+		bad.ColIdx[len(bad.ColIdx)-1] = bad.Cols
+		if _, _, err := spops.DistSpGEMM(d.Machine(), pl, &bad); err == nil {
+			t.Fatal("DistSpGEMM accepted a B column out of range")
+		}
+	})
 }
 
 // TestDegradedOps runs SpMV, Jacobi and SpGEMM on a degraded
@@ -292,11 +302,108 @@ func TestDegradedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := spops.DistSpGEMM(d.Machine(), pl, bcrs)
+	c, st, err := spops.DistSpGEMM(d.Machine(), pl, bcrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertCRSEqual(t, c, want)
+	assertSpGEMMCharge(t, st, g, pl, bcrs)
+}
+
+// assertSpGEMMCharge checks DistSpGEMM's OpStats against counts
+// recomputed from the plan, A's dense form g and B. Every message is a
+// buffer of (row, col, value) triplets: one B block from the IO rank to
+// each other x-owner (ceil-div blocks of B's rows over the alive ranks),
+// the B rows of each non-empty halo send list, and from each non-IO
+// rank one C triplet per distinct (row, col) its hosted nonzeros touch.
+// Each hosted A nonzero (i, j) costs 2·|B row j| operations.
+func assertSpGEMMCharge(t *testing.T, st spops.OpStats, g *sparse.Dense, pl *spops.CommPlan, b *compress.CRS) {
+	t.Helper()
+	var alive []int
+	for r, ok := range pl.Alive {
+		if ok {
+			alive = append(alive, r)
+		}
+	}
+	msgs, words, ops := 0, 0, 0
+	blk := (pl.Cols + len(alive) - 1) / len(alive)
+	for i, r := range alive {
+		lo, hi := min(i*blk, pl.Cols), min((i+1)*blk, pl.Cols)
+		if r != pl.IO && hi > lo {
+			msgs++
+			words += 3 * (b.RowPtr[hi] - b.RowPtr[lo])
+		}
+	}
+	for _, s := range alive {
+		for _, r := range alive {
+			if idx := pl.SendIdx[s][r]; s != r && len(idx) > 0 {
+				msgs++
+				for _, j := range idx {
+					words += 3 * b.RowNNZ(j)
+				}
+			}
+		}
+	}
+	for _, r := range alive {
+		touched := map[[2]int]bool{}
+		for k, h := range pl.Host {
+			if h != r {
+				continue
+			}
+			for _, i := range pl.Part.RowMap(k) {
+				for _, j := range pl.Part.ColMap(k) {
+					if g.At(i, j) == 0 {
+						continue
+					}
+					ops += 2 * b.RowNNZ(j)
+					for q := b.RowPtr[j]; q < b.RowPtr[j+1]; q++ {
+						touched[[2]int{i, b.ColIdx[q]}] = true
+					}
+				}
+			}
+		}
+		if r != pl.IO {
+			msgs++
+			words += 3 * len(touched)
+		}
+	}
+	if st.Messages != msgs || st.WireWords != words || st.Ops != ops {
+		t.Fatalf("charged %d msgs, %d words, %d ops; want %d, %d, %d",
+			st.Messages, st.WireWords, st.Ops, msgs, words, ops)
+	}
+}
+
+// TestDistSpGEMMAllocs guards the kernel's allocation profile: a call
+// allocates per rank and per message, never per nonzero, so a banded
+// array with four times the nonzeros costs no more allocations, and
+// both stay under a tenth of the 4202 allocs/op BENCH_2026-08-08.json
+// records for the map-based kernel on the n=256 array.
+func TestDistSpGEMMAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	allocs := map[int]float64{}
+	for _, n := range []int{256, 1024} {
+		g := sparse.Banded(n, n, 8, 0.8, 3)
+		d, pl := distribute(t, g, core.Config{Scheme: "ED", Partition: "row", Procs: 4})
+		b := compress.CompressCRS(g, nil)
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			if _, _, err := spops.DistSpGEMM(d.Machine(), pl, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		d.Close()
+	}
+	// A few allocations of slack absorb scheduling noise in the machine's
+	// message plumbing; per-nonzero growth would add hundreds.
+	if allocs[1024] > allocs[256]+4 {
+		t.Errorf("n=1024 allocates %.0f times, n=256 %.0f: allocations grow with nnz", allocs[1024], allocs[256])
+	}
+	for n, a := range allocs {
+		if a > 4202/10 {
+			t.Errorf("n=%d allocates %.0f times per call, want <= 420", n, a)
+		}
+	}
 }
 
 // TestPlanReuse executes the same plan several times on one machine
