@@ -49,11 +49,12 @@ ci: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/machine/... ./internal/dist/... ./internal/server/... ./internal/client/... ./internal/cluster/... ./internal/calibrate/... ./internal/costmodel/... ./internal/spops/...
 
-# Trajectory benchmarks: the BenchmarkRootEncode family plus the
+# Trajectory benchmarks: the BenchmarkRootEncode family, the
+# row-scan compression kernels (BenchmarkCompressPart) plus the
 # streaming-vs-materializing pair (with its peak-MB memory metric),
 # snapshotted (ns/op, allocs/op, virtual-clock and peak-heap metrics)
 # into a dated JSON file for cross-commit comparison.
-BENCH_PATTERN = BenchmarkRootEncode|BenchmarkStreamDistribute|BenchmarkSimnetEvents|BenchmarkSpMV$$|BenchmarkDistSpGEMM
+BENCH_PATTERN = BenchmarkRootEncode|BenchmarkCompressPart|BenchmarkStreamDistribute|BenchmarkSimnetEvents|BenchmarkSpMV$$|BenchmarkDistSpGEMM
 bench: bench-json
 
 bench-json:
@@ -63,7 +64,7 @@ bench-json:
 # Diff a fresh snapshot against the committed baseline; exits non-zero
 # when anything regressed more than THRESHOLD (fractional). CI runs
 # this as an enforcing gate.
-BASELINE ?= BENCH_2026-08-08.json
+BASELINE ?= BENCH_2026-10-18.json
 THRESHOLD ?= 0.15
 bench-compare:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \

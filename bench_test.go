@@ -186,7 +186,7 @@ func BenchmarkTable2Kernels(b *testing.B) {
 			}
 		}
 	})
-	ccs := compress.CompressCCSPartGlobal(g.At, rangeInts(250, 500), rangeInts(0, 1000), nil)
+	ccs := compress.CompressCCSPartGlobal(g.Row, rangeInts(250, 500), rangeInts(0, 1000), nil)
 	packed := compress.PackCCS(ccs, nil)
 	b.Run("UnpackCCSWithShift", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -515,16 +515,67 @@ func BenchmarkRootEncodeBuffer(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			compress.EncodeEDPart(g.At, rows, cols, compress.RowMajor, nil)
+			compress.EncodeEDPart(g.Row, rows, cols, compress.RowMajor, nil)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf := compress.EncodeEDPartInto(g.At, rows, cols, compress.RowMajor, machine.GetBuf(0), nil)
+			buf := compress.EncodeEDPartInto(g.Row, rows, cols, compress.RowMajor, machine.GetBuf(0), nil)
 			machine.PutBuf(buf)
 		}
 	})
+}
+
+// BenchmarkCompressPart is the encode-layer bench: one root's worth of
+// part compression (all p parts) for each row-scan kernel — CRS, CCS,
+// row-major and column-major ED — over the paper's row, column and
+// mesh partitions at the perfbench distribute size (n=1200, s=0.1,
+// p=4). Wall ns and allocs sit beside the virtual charge of the same
+// work ("ops", the n²(1+3s) compression term).
+func BenchmarkCompressPart(b *testing.B) {
+	const n, p = 1200, 4
+	g := sparse.UniformExact(n, n, 0.1, 17)
+	row, err := partition.NewRow(n, n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	col, err := partition.NewCol(n, n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mesh, err := partition.NewMesh(n, n, 2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kernels := []struct {
+		name   string
+		encode func(rowMap, colMap []int, ctr *cost.Counter)
+	}{
+		{"CRS", func(rm, cm []int, ctr *cost.Counter) { compress.CompressCRSPartGlobal(g.Row, rm, cm, ctr) }},
+		{"CCS", func(rm, cm []int, ctr *cost.Counter) { compress.CompressCCSPartGlobal(g.Row, rm, cm, ctr) }},
+		{"EDrow", func(rm, cm []int, ctr *cost.Counter) {
+			machine.PutBuf(compress.EncodeEDPartInto(g.Row, rm, cm, compress.RowMajor, machine.GetBuf(0), ctr))
+		}},
+		{"EDcol", func(rm, cm []int, ctr *cost.Counter) {
+			machine.PutBuf(compress.EncodeEDPartInto(g.Row, rm, cm, compress.ColMajor, machine.GetBuf(0), ctr))
+		}},
+	}
+	for _, k := range kernels {
+		for _, part := range []partition.Partition{row, col, mesh} {
+			b.Run(k.name+"/"+part.Name(), func(b *testing.B) {
+				var ctr cost.Counter
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ctr.Reset()
+					for q := 0; q < p; q++ {
+						k.encode(part.RowMap(q), part.ColMap(q), &ctr)
+					}
+				}
+				b.ReportMetric(float64(ctr.Ops), "ops")
+			})
+		}
+	}
 }
 
 func rangeInts(lo, hi int) []int {

@@ -195,7 +195,7 @@ func compressPieces(t *testing.T, g *sparse.Dense, part partition.Partition, for
 	}
 	arrays := make([]compress.PartArray, part.NumParts())
 	for k := range arrays {
-		arrays[k] = f.CompressPartGlobal(g.At, part.RowMap(k), part.ColMap(k), nil)
+		arrays[k] = f.CompressPartGlobal(g.Row, part.RowMap(k), part.ColMap(k), nil)
 		// CompressPartGlobal stores global minor indices; localise them
 		// through the part's minor ownership map as the engine does.
 		minor := part.ColMap(k)

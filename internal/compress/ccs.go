@@ -26,22 +26,10 @@ func (m *CCS) NNZ() int { return len(m.Val) }
 
 // CompressCCS compresses a dense array into CCS, charging the counter
 // one operation per scanned element plus three per nonzero (the paper's
-// rows*cols*(1+3s) accounting).
+// rows*cols*(1+3s) accounting). It is the row-scan part kernel over the
+// whole array, transposed by counting sort.
 func CompressCCS(d *sparse.Dense, ctr *cost.Counter) *CCS {
-	rows, cols := d.Rows(), d.Cols()
-	m := &CCS{Rows: rows, Cols: cols, ColPtr: make([]int, cols+1)}
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			if v := d.At(i, j); v != 0 {
-				m.RowIdx = append(m.RowIdx, i)
-				m.Val = append(m.Val, v)
-				ctr.AddOps(3)
-			}
-		}
-		m.ColPtr[j+1] = len(m.Val)
-		ctr.AddOps(rows)
-	}
-	return m
+	return CompressCCSPartGlobal(d.Row, indexRange(0, d.Rows()), indexRange(0, d.Cols()), ctr)
 }
 
 // CompressCCSFromCOO builds a CCS from a COO. The COO is sorted

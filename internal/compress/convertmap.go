@@ -54,65 +54,6 @@ func (m *CCS) ConvertRowsToLocal(rowMap []int, ctr *cost.Counter) error {
 	return nil
 }
 
-// EncodeEDPart is the generalisation of EncodeEDRect to cross-product
-// ownership maps, used with cyclic partitions. Stored C indices are
-// global, exactly as in the rectangular case.
-func EncodeEDPart(at func(i, j int) float64, rowMap, colMap []int, major Major, ctr *cost.Counter) []float64 {
-	return EncodeEDPartInto(at, rowMap, colMap, major, nil, ctr)
-}
-
-// EncodeEDPartInto is EncodeEDPart writing into buf's backing array when
-// it is large enough — pass a zero-length buffer from machine.GetBuf to
-// reuse one allocation across parts. Charging is identical.
-func EncodeEDPartInto(at func(i, j int) float64, rowMap, colMap []int, major Major, buf []float64, ctr *cost.Counter) []float64 {
-	var counts int
-	if major == RowMajor {
-		counts = len(rowMap)
-	} else {
-		counts = len(colMap)
-	}
-	if cap(buf) < counts {
-		// Reserve for up to 12.5% density (two words per nonzero); sparser
-		// parts fit without growing, denser ones pay at most a couple of
-		// geometric reallocations. The old cells/2 reservation assumed 25%
-		// density and dominated peak memory on large sparse parts.
-		buf = make([]float64, counts, counts+len(rowMap)*len(colMap)/4)
-	} else {
-		buf = buf[:counts]
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
-	if major == RowMajor {
-		for li, gi := range rowMap {
-			n := 0
-			for _, gj := range colMap {
-				if v := at(gi, gj); v != 0 {
-					buf = append(buf, float64(gj), v)
-					n++
-					ctr.AddOps(3)
-				}
-			}
-			buf[li] = float64(n)
-			ctr.AddOps(len(colMap))
-		}
-	} else {
-		for lj, gj := range colMap {
-			n := 0
-			for _, gi := range rowMap {
-				if v := at(gi, gj); v != 0 {
-					buf = append(buf, float64(gi), v)
-					n++
-					ctr.AddOps(3)
-				}
-			}
-			buf[lj] = float64(n)
-			ctr.AddOps(len(rowMap))
-		}
-	}
-	return buf
-}
-
 // DecodeEDToCRSMap decodes a row-major special buffer converting global
 // column indices through the ownership map (cyclic partitions).
 func DecodeEDToCRSMap(buf []float64, rows int, colMap []int, ctr *cost.Counter) (*CRS, error) {

@@ -66,7 +66,7 @@ func TestEncodeEDPartMatchesRect(t *testing.T) {
 	rowMap := []int{3, 4, 5}
 	colMap := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, major := range []Major{RowMajor, ColMajor} {
-		got := EncodeEDPart(g.At, rowMap, colMap, major, nil)
+		got := EncodeEDPart(g.Row, rowMap, colMap, major, nil)
 		want := EncodeEDRect(g, 3, 0, 3, 8, major, nil)
 		if len(got) != len(want) {
 			t.Fatalf("%v: length %d, want %d", major, len(got), len(want))
@@ -85,7 +85,7 @@ func TestEDMapRoundTripCyclic(t *testing.T) {
 	rowMap := []int{1, 4, 7, 10}
 	colMap := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 
-	buf := EncodeEDPart(g.At, rowMap, colMap, RowMajor, nil)
+	buf := EncodeEDPart(g.Row, rowMap, colMap, RowMajor, nil)
 	crs, err := DecodeEDToCRSMap(buf, len(rowMap), colMap, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestEDMapRoundTripCyclic(t *testing.T) {
 		t.Error("cyclic ED CRS round trip mismatch")
 	}
 
-	cbuf := EncodeEDPart(g.At, rowMap, colMap, ColMajor, nil)
+	cbuf := EncodeEDPart(g.Row, rowMap, colMap, ColMajor, nil)
 	ccs, err := DecodeEDToCCSMap(cbuf, len(colMap), rowMap, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestEDMapRoundTripCyclic(t *testing.T) {
 func TestDecodeEDMapErrors(t *testing.T) {
 	g := sparse.PaperFigure1()
 	colMap := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	buf := EncodeEDPart(g.At, []int{0, 1, 2}, colMap, RowMajor, nil)
+	buf := EncodeEDPart(g.Row, []int{0, 1, 2}, colMap, RowMajor, nil)
 
 	if _, err := DecodeEDToCRSMap(buf[:1], 3, colMap, nil); err == nil {
 		t.Error("short buffer accepted")
@@ -126,7 +126,7 @@ func TestDecodeEDMapErrors(t *testing.T) {
 		t.Error("foreign ownership map accepted")
 	}
 
-	cbuf := EncodeEDPart(g.At, []int{0, 1, 2}, colMap, ColMajor, nil)
+	cbuf := EncodeEDPart(g.Row, []int{0, 1, 2}, colMap, ColMajor, nil)
 	if _, err := DecodeEDToCCSMap(cbuf, 8, []int{50}, nil); err == nil {
 		t.Error("foreign row map accepted")
 	}

@@ -37,23 +37,10 @@ func (m *CRS) NNZ() int { return len(m.Val) }
 // CompressCRS compresses a dense array into CRS, charging the counter in
 // the paper's accounting: one operation per scanned element plus three
 // operations per nonzero (the RO/CO/VL writes), i.e. rows*cols*(1+3s)
-// total — the T_Compression term of Tables 1 and 2.
+// total — the T_Compression term of Tables 1 and 2. It is the row-scan
+// part kernel over the whole array.
 func CompressCRS(d *sparse.Dense, ctr *cost.Counter) *CRS {
-	rows, cols := d.Rows(), d.Cols()
-	m := &CRS{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	for i := 0; i < rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, v)
-				ctr.AddOps(3)
-			}
-		}
-		m.RowPtr[i+1] = len(m.Val)
-		ctr.AddOps(cols)
-	}
-	return m
+	return CompressCRSPartGlobal(d.Row, indexRange(0, d.Rows()), indexRange(0, d.Cols()), ctr)
 }
 
 // CompressCRSFromCOO builds a CRS from a COO. The COO is sorted row-major

@@ -49,50 +49,68 @@ func (m Major) String() string {
 }
 
 // EncodeEDRect encodes the rectangle [r0, r0+nr) x [c0, c0+nc) of the
-// global array g into a special buffer. Stored C indices are global.
-// The counter is charged one operation per scanned element plus three per
-// nonzero — identical to CompressCRS/CCS accounting, which is why the
-// paper's encoding time equals its CFS compression time.
+// global array g into a special buffer: EncodeEDPart over the
+// rectangle's contiguous index ranges. Stored C indices are global. It
+// panics if the rectangle leaves the array.
 func EncodeEDRect(g *sparse.Dense, r0, c0, nr, nc int, major Major, ctr *cost.Counter) []float64 {
 	if r0 < 0 || c0 < 0 || nr < 0 || nc < 0 || r0+nr > g.Rows() || c0+nc > g.Cols() {
 		panic(fmt.Sprintf("compress: EncodeEDRect(%d,%d,%d,%d) out of range %dx%d",
 			r0, c0, nr, nc, g.Rows(), g.Cols()))
 	}
-	var counts int
+	return EncodeEDPart(g.Row, indexRange(r0, nr), indexRange(c0, nc), major, ctr)
+}
+
+// EncodeEDPart encodes the cross product rowMap x colMap of a global
+// array, read through the row accessor (see part.go), into a special
+// buffer whose C indices are global. The counter is charged one
+// operation per scanned element plus three per nonzero — identical to
+// CompressCRS/CCS accounting, which is why the paper's encoding time
+// equals its CFS compression time.
+func EncodeEDPart(row func(gi int) []float64, rowMap, colMap []int, major Major, ctr *cost.Counter) []float64 {
+	return EncodeEDPartInto(row, rowMap, colMap, major, nil, ctr)
+}
+
+// EncodeEDPartInto is EncodeEDPart writing into buf's backing array when
+// it is large enough — pass a zero-length buffer from machine.GetBuf to
+// reuse one allocation across parts. Charging is identical.
+func EncodeEDPartInto(row func(gi int) []float64, rowMap, colMap []int, major Major, buf []float64, ctr *cost.Counter) []float64 {
+	sel := newColSel(colMap)
+	s := scanRows(row, rowMap, sel, ctr)
+	defer s.release()
+	nr, nc := len(rowMap), len(colMap)
 	if major == RowMajor {
-		counts = nr
-	} else {
-		counts = nc
-	}
-	buf := make([]float64, counts, counts+2*nr*nc/4) // counts region first
-	if major == RowMajor {
-		for i := 0; i < nr; i++ {
-			n := 0
-			for j := 0; j < nc; j++ {
-				if v := g.At(r0+i, c0+j); v != 0 {
-					buf = append(buf, float64(c0+j), v) // global column index
-					n++
-					ctr.AddOps(3)
-				}
-			}
-			buf[i] = float64(n)
-			ctr.AddOps(nc)
+		buf = sized(buf, nr+2*len(s.val))
+		for li := 0; li < nr; li++ {
+			buf[li] = float64(s.ptr[li+1] - s.ptr[li])
 		}
-	} else {
-		for j := 0; j < nc; j++ {
-			n := 0
-			for i := 0; i < nr; i++ {
-				if v := g.At(r0+i, c0+j); v != 0 {
-					buf = append(buf, float64(r0+i), v) // global row index
-					n++
-					ctr.AddOps(3)
-				}
-			}
-			buf[j] = float64(n)
-			ctr.AddOps(nr)
+		for k, lj := range s.idx {
+			buf[nr+2*k] = float64(sel.global(lj)) // global column index
+			buf[nr+2*k+1] = s.val[k]
+		}
+		return buf
+	}
+	buf = sized(buf, nc+2*len(s.val))
+	s.colOrder(nc) // counting-sort the pairs into column order
+	for j := 0; j < nc; j++ {
+		buf[j] = float64(s.cptr[j+1] - s.cptr[j])
+	}
+	for li, gi := range rowMap {
+		for k := s.ptr[li]; k < s.ptr[li+1]; k++ {
+			buf[nc+2*s.idx[k]] = float64(gi) // global row index
+			buf[nc+2*s.idx[k]+1] = s.val[k]
 		}
 	}
 	return buf
+}
+
+// sized returns buf resliced to length n, reallocating when its
+// backing array is too small. Contents are unspecified: the encoders
+// overwrite every word.
+func sized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // DecodeEDToCRS decodes a row-major special buffer into a local CRS of

@@ -18,8 +18,8 @@ import (
 // *global* column indices. Charging follows the other formats: one
 // operation per scanned element, three per nonzero, one per row for the
 // permutation.
-func CompressJDSPartGlobal(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) *JDS {
-	crs := CompressCRSPartGlobal(at, rowMap, colMap, ctr)
+func CompressJDSPartGlobal(row func(gi int) []float64, rowMap, colMap []int, ctr *cost.Counter) *JDS {
+	crs := CompressCRSPartGlobal(row, rowMap, colMap, ctr)
 	ctr.AddOps(len(rowMap)) // permutation bookkeeping
 	return CRSToJDS(crs)
 }

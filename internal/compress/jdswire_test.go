@@ -62,7 +62,7 @@ func TestUnpackJDSErrors(t *testing.T) {
 
 func TestJDSShiftAndConvert(t *testing.T) {
 	local := CompressJDS(sparse.PaperFigure1().SubMatrix(0, 4, 10, 4), nil)
-	global := CRSToJDS(CompressCRSPartGlobal(sparse.PaperFigure1().At,
+	global := CRSToJDS(CompressCRSPartGlobal(sparse.PaperFigure1().Row,
 		rangeIntsTest(0, 10), rangeIntsTest(4, 8), nil))
 	var ctr cost.Counter
 	global.ShiftCols(4, &ctr)
@@ -78,7 +78,7 @@ func TestJDSShiftAndConvert(t *testing.T) {
 	g.Set(0, 1, 1)
 	g.Set(1, 5, 2)
 	colMap := []int{1, 3, 5}
-	jds := CompressJDSPartGlobal(g.At, []int{0, 1}, colMap, nil)
+	jds := CompressJDSPartGlobal(g.Row, []int{0, 1}, colMap, nil)
 	if err := jds.ConvertColsToLocal(colMap, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestJDSShiftAndConvert(t *testing.T) {
 func TestCompressJDSPartGlobalMatchesDirect(t *testing.T) {
 	g := sparse.PaperFigure1()
 	var ctr cost.Counter
-	got := CompressJDSPartGlobal(g.At, rangeIntsTest(0, 3), rangeIntsTest(0, 8), &ctr)
+	got := CompressJDSPartGlobal(g.Row, rangeIntsTest(0, 3), rangeIntsTest(0, 8), &ctr)
 	got.ShiftCols(0, nil) // row partition: already local
 	want := CompressJDS(g.SubMatrix(0, 0, 3, 8), nil)
 	if !got.Equal(want) {

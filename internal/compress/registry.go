@@ -42,7 +42,7 @@ type Format struct {
 	// CompressPartGlobal compresses one part straight from the global
 	// array through its row/column maps, keeping global minor indices
 	// (CFS's root-side compression phase).
-	CompressPartGlobal func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray
+	CompressPartGlobal func(row func(gi int) []float64, rowMap, colMap []int, ctr *cost.Counter) PartArray
 	// HeaderExtra is the format-specific word the wire header carries
 	// beyond the part shape (JDS: diagonal count; otherwise 0).
 	HeaderExtra func(a PartArray) int64
@@ -110,8 +110,8 @@ func init() {
 		CompressDense: func(d *sparse.Dense, ctr *cost.Counter) PartArray {
 			return CompressCRS(d, ctr)
 		},
-		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
-			return CompressCRSPartGlobal(at, rowMap, colMap, ctr)
+		CompressPartGlobal: func(row func(gi int) []float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
+			return CompressCRSPartGlobal(row, rowMap, colMap, ctr)
 		},
 		HeaderExtra: func(PartArray) int64 { return 0 },
 		WireCap: func(a PartArray) int {
@@ -150,8 +150,8 @@ func init() {
 		CompressDense: func(d *sparse.Dense, ctr *cost.Counter) PartArray {
 			return CompressCCS(d, ctr)
 		},
-		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
-			return CompressCCSPartGlobal(at, rowMap, colMap, ctr)
+		CompressPartGlobal: func(row func(gi int) []float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
+			return CompressCCSPartGlobal(row, rowMap, colMap, ctr)
 		},
 		HeaderExtra: func(PartArray) int64 { return 0 },
 		WireCap: func(a PartArray) int {
@@ -198,8 +198,8 @@ func init() {
 		CompressDense: func(d *sparse.Dense, ctr *cost.Counter) PartArray {
 			return CompressJDS(d, ctr)
 		},
-		CompressPartGlobal: func(at func(i, j int) float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
-			return CompressJDSPartGlobal(at, rowMap, colMap, ctr)
+		CompressPartGlobal: func(row func(gi int) []float64, rowMap, colMap []int, ctr *cost.Counter) PartArray {
+			return CompressJDSPartGlobal(row, rowMap, colMap, ctr)
 		},
 		HeaderExtra: func(a PartArray) int64 {
 			return int64(a.(*JDS).NumDiagonals())

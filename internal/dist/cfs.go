@@ -38,28 +38,24 @@ func (CFS) Policy() PhasePolicy {
 // Overlap implements Codec; CFS has no forced-pipeline ablation.
 func (CFS) Overlap(Options) bool { return false }
 
-// Prepare implements Codec; CFS compresses straight from the global
-// array.
-func (CFS) Prepare(*runState) error { return nil }
-
 // EncodePart implements Codec: compress part k with global minor
 // indices (compression phase), then — under the CFSConvertAtRoot
 // ablation — localise indices, and pack for the wire (distribution
 // phase). The wire buffer comes from the machine's pool.
 func (c CFS) EncodePart(run *runState, k int, pp *partPayload) error {
-	return c.EncodePartAt(run, k, run.global.At, pp)
+	return c.EncodePartRows(run, k, run.global.Row, pp)
 }
 
-// EncodePartAt implements canonicalEncoder: the same encode driven by a
-// cell accessor instead of the materialized global array, so a
+// EncodePartRows implements canonicalEncoder: the same encode driven by
+// a row accessor instead of the materialized global array, so a
 // streaming receiver can replay the root's canonical encode — with
 // byte-identical payload and charges — from its accumulated entries.
-func (CFS) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
+func (CFS) EncodePartRows(run *runState, k int, row func(gi int) []float64, pp *partPayload) error {
 	f := run.format
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
 	start := time.Now()
-	a := f.CompressPartGlobal(at, rowMap, colMap, &pp.comp)
+	a := f.CompressPartGlobal(row, rowMap, colMap, &pp.comp)
 	pp.wallComp = time.Since(start)
 	start = time.Now()
 	if run.opts.CFSConvertAtRoot {
@@ -98,7 +94,3 @@ func (CFS) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *
 func (s CFS) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }
-
-// replayMajor implements canonicalEncoder: CompressPartGlobal scans in
-// the target format's major order.
-func (CFS) replayMajor(run *runState) compress.Major { return run.format.Major }

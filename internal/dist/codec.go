@@ -56,9 +56,6 @@ type Codec interface {
 	// Overlap reports whether the options force the pipelined root loop
 	// even at Workers<=1 (the legacy ED one-part-lookahead ablation).
 	Overlap(opts Options) bool
-	// Prepare runs once per plan before the SPMD region, outside the
-	// timed phases (the paper excludes partition time).
-	Prepare(run *runState) error
 	// EncodePart produces part k's wire payload at the root, charging
 	// the scheme's costs to pp's local counters. Must be safe for
 	// concurrent calls with distinct k.
@@ -78,9 +75,6 @@ type runState struct {
 	part   partition.Partition
 	opts   Options
 	format *compress.Format
-	// locals are SFC's pre-extracted dense parts (Prepare); nil for the
-	// compressed-wire schemes.
-	locals []*sparse.Dense
 }
 
 // formatFor resolves a Method to its registered wire format.

@@ -46,26 +46,23 @@ func (ED) Policy() PhasePolicy {
 // pipeline — the legacy one-part-lookahead overlap ablation.
 func (ED) Overlap(o Options) bool { return o.EDOverlap }
 
-// Prepare implements Codec; ED encodes straight from the global array.
-func (ED) Prepare(*runState) error { return nil }
-
 // EncodePart implements Codec: encode part k's special buffer
 // (compression phase). The buffer itself is the wire message — no
 // separate packing step. JDS rides the row-major buffer (Format.Major)
 // and re-lays diagonals at the receiver.
 func (e ED) EncodePart(run *runState, k int, pp *partPayload) error {
-	return e.EncodePartAt(run, k, run.global.At, pp)
+	return e.EncodePartRows(run, k, run.global.Row, pp)
 }
 
-// EncodePartAt implements canonicalEncoder: the same encode driven by a
-// cell accessor instead of the materialized global array, so a
+// EncodePartRows implements canonicalEncoder: the same encode driven by
+// a row accessor instead of the materialized global array, so a
 // streaming receiver can replay the root's canonical encode — with
 // byte-identical payload and charges — from its accumulated entries.
-func (ED) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
+func (ED) EncodePartRows(run *runState, k int, row func(gi int) []float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
 	start := time.Now()
-	pp.buf = compress.EncodeEDPartInto(at, rowMap, colMap, run.format.Major, machine.GetBuf(0), &pp.comp)
+	pp.buf = compress.EncodeEDPartInto(row, rowMap, colMap, run.format.Major, machine.GetBuf(0), &pp.comp)
 	pp.pooled = true
 	pp.wallComp = time.Since(start)
 	if run.opts.Check {
@@ -94,7 +91,3 @@ func (ED) DecodePart(run *runState, k int, data []float64, meta [4]int64, ctr *c
 func (s ED) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }
-
-// replayMajor implements canonicalEncoder: the ED special buffer is
-// built in the wire format's major order.
-func (ED) replayMajor(run *runState) compress.Major { return run.format.Major }

@@ -97,9 +97,6 @@ func Run(m *machine.Machine, plan Plan) (*Result, error) {
 	} else if m.Network() == nil {
 		m.SetNetwork(run.opts.Net)
 	}
-	if err := c.Prepare(run); err != nil {
-		return nil, fmt.Errorf("dist: %s prepare: %w", c.Scheme(), err)
-	}
 	p := m.P()
 	bd := newBreakdown(p)
 	res := &Result{Scheme: c.Scheme(), Partition: plan.Partition.Name(), Method: plan.Options.Method, Breakdown: bd}

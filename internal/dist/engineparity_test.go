@@ -60,7 +60,7 @@ func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part parti
 	case "CFS":
 		for k := 0; k < p; k++ {
 			rowMap, colMap := part.RowMap(k), part.ColMap(k)
-			a := f.CompressPartGlobal(g.At, rowMap, colMap, &bd.RootComp)
+			a := f.CompressPartGlobal(g.Row, rowMap, colMap, &bd.RootComp)
 			buf := f.PackInto(a, nil, &bd.RootDist)
 			bd.RootDist.AddSend(len(buf))
 			got, err := f.Unpack(buf, len(rowMap), len(colMap), f.HeaderExtra(a), &bd.RankDist[k])
@@ -72,7 +72,7 @@ func referenceBreakdown(t *testing.T, scheme string, g *sparse.Dense, part parti
 	case "ED":
 		for k := 0; k < p; k++ {
 			rowMap, colMap := part.RowMap(k), part.ColMap(k)
-			buf := compress.EncodeEDPartInto(g.At, rowMap, colMap, f.Major, nil, &bd.RootComp)
+			buf := compress.EncodeEDPartInto(g.Row, rowMap, colMap, f.Major, nil, &bd.RootComp)
 			bd.RootDist.AddSend(len(buf))
 			offset := 0
 			var idxMap []int

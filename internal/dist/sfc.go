@@ -36,55 +36,66 @@ func (SFC) Policy() PhasePolicy {
 // Overlap implements Codec; SFC has no forced-pipeline ablation.
 func (SFC) Overlap(Options) bool { return false }
 
-// Prepare implements Codec: materialise the dense local arrays up
-// front — the paper's analysis excludes partition time.
-func (SFC) Prepare(run *runState) error {
-	run.locals = partition.ExtractAll(run.global, run.part)
-	return nil
-}
-
 // EncodePart implements Codec. For the row partition each local array
 // is a contiguous block of the global array, sent "without packing
-// into buffers" (paper §4.1.1). Column, mesh and cyclic parts are
-// strided in memory and must be packed element-by-element first — the
-// cost that makes SFC's measured column/mesh distribution times much
-// larger than its row ones (paper Tables 4-5) and lowers the Remark 5
-// thresholds. The payload aliases the local array, so it is never
-// pooled.
-func (SFC) EncodePart(run *runState, k int, pp *partPayload) error {
-	l := run.locals[k]
-	start := time.Now()
-	if !rowContiguousPart(run.part, k, run.global.Cols()) {
-		pp.dist.AddOps(l.Size())
+// into buffers" (paper §4.1.1): the payload is a zero-copy view of the
+// global's row block, never pooled, and receivers only read it. Column,
+// mesh and cyclic parts are strided in memory and must be packed
+// element-by-element first — the cost that makes SFC's measured
+// column/mesh distribution times much larger than its row ones (paper
+// Tables 4-5) and lowers the Remark 5 thresholds.
+func (s SFC) EncodePart(run *runState, k int, pp *partPayload) error {
+	cols := run.global.Cols()
+	if !rowContiguousPart(run.part, k, cols) {
+		return s.EncodePartRows(run, k, run.global.Row, pp)
 	}
-	pp.meta = [4]int64{int64(l.Rows()), int64(l.Cols())}
-	pp.buf = l.Data()
+	start := time.Now()
+	rowMap := run.part.RowMap(k)
+	lo := 0
+	if len(rowMap) > 0 {
+		lo = rowMap[0] * cols
+	}
+	hi := lo + len(rowMap)*cols
+	pp.meta = [4]int64{int64(len(rowMap)), int64(cols)}
+	pp.buf = run.global.Data()[lo:hi:hi]
 	pp.wallDist = time.Since(start)
 	return nil
 }
 
-// EncodePartAt implements canonicalEncoder: build the dense local from
-// a cell accessor — the streaming receiver's replay of SFC's root
-// encode. The extraction itself is Prepare-time work on the
-// materializing path and charges nothing; only the non-contiguous
-// packing charge is booked, exactly as EncodePart does.
-func (SFC) EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error {
+// EncodePartRows implements canonicalEncoder: pack part k's dense local
+// array, read through a row accessor, into a pooled wire buffer — one
+// row-segment copy per row when the column map is contiguous. EncodePart
+// uses it for the strided parts; the streaming receiver replays every
+// part through it. Only a part that is not row-contiguous books the
+// packing charge, exactly as on the materializing path.
+func (SFC) EncodePartRows(run *runState, k int, row func(gi int) []float64, pp *partPayload) error {
 	rowMap, colMap := run.part.RowMap(k), run.part.ColMap(k)
 	start := time.Now()
-	l := sparse.NewDense(len(rowMap), len(colMap))
-	for li, gi := range rowMap {
-		for lj, gj := range colMap {
-			if v := at(gi, gj); v != 0 {
-				l.Set(li, lj, v)
-			}
+	buf := machine.GetBuf(len(rowMap) * len(colMap))
+	c0 := -1
+	if partition.Contiguous(colMap) {
+		c0 = 0
+		if len(colMap) > 0 {
+			c0 = colMap[0]
+		}
+	}
+	for _, gi := range rowMap {
+		r := row(gi)
+		if c0 >= 0 {
+			buf = append(buf, r[c0:c0+len(colMap)]...)
+			continue
+		}
+		for _, gj := range colMap {
+			buf = append(buf, r[gj])
 		}
 	}
 	_, cols := run.part.Shape()
 	if !rowContiguousPart(run.part, k, cols) {
-		pp.dist.AddOps(l.Size())
+		pp.dist.AddOps(len(buf))
 	}
-	pp.meta = [4]int64{int64(l.Rows()), int64(l.Cols())}
-	pp.buf = l.Data()
+	pp.meta = [4]int64{int64(len(rowMap)), int64(len(colMap))}
+	pp.buf = buf
+	pp.pooled = true
 	pp.wallDist = time.Since(start)
 	return nil
 }
@@ -103,7 +114,3 @@ func (SFC) DecodePart(run *runState, _ int, data []float64, meta [4]int64, ctr *
 func (s SFC) Distribute(m *machine.Machine, g *sparse.Dense, part partition.Partition, opts Options) (*Result, error) {
 	return Run(m, Plan{Codec: s, Global: g, Partition: part, Options: opts})
 }
-
-// replayMajor implements canonicalEncoder: the dense-local build above
-// scans row-major regardless of the receive-side method.
-func (SFC) replayMajor(*runState) compress.Major { return compress.RowMajor }

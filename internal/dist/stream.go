@@ -10,10 +10,10 @@ package dist
 // accumulator that reaches the flush threshold — or the largest one,
 // when the total buffered bytes reach the memory budget — is flushed as
 // a COO-triplet *frame* to the part's owning rank on tag base+k.
-// Receivers bucket each frame's entries by major line in arrival
+// Receivers bucket each frame's entries by global row in arrival
 // order (partAccum); at the root's *finalize* message they replay the
-// codec's canonical root encode locally through a line-scratch cell
-// accessor (canonicalEncoder.EncodePartAt over cellIndex), decode the
+// codec's canonical root encode locally through a row-scratch row
+// accessor (canonicalEncoder.EncodePartRows over rowIndex), decode the
 // resulting payload exactly as the materializing path would, and
 // report the canonical root-side charges back on the stats tag.
 // Duplicate coordinates resolve keep-last and explicit zeros erase —
@@ -59,17 +59,15 @@ import (
 
 // canonicalEncoder is the streaming replay hook: produce part k's
 // canonical wire payload — byte- and charge-identical to EncodePart —
-// from a cell accessor instead of the materialized global array. All
-// three schemes implement it.
+// from a row accessor instead of the materialized global array. All
+// three schemes implement it. Every encoder reads each row at most
+// once, in ascending order (the compress package's row accessor
+// contract), so the receiver can stage one row at a time and release
+// each row's storage once the scan moves on; an encoder that re-read an
+// earlier row would see zeros. The compress kernel tests and the
+// parity table test hold every codec × method to this contract.
 type canonicalEncoder interface {
-	EncodePartAt(run *runState, k int, at func(i, j int) float64, pp *partPayload) error
-	// replayMajor is the orientation EncodePartAt scans the accessor
-	// in — whole major lines, each visited at most once — so the
-	// receiver can stage its accumulated entries for O(1) lookups and
-	// release each line's storage once the scan moves off it. An
-	// encoder that re-reads an earlier line would see zeros; the parity
-	// table test holds every codec × method to this contract.
-	replayMajor(run *runState) compress.Major
+	EncodePartRows(run *runState, k int, row func(gi int) []float64, pp *partPayload) error
 }
 
 // StreamOptions bound the root's memory and the pipeline depth.
@@ -179,9 +177,6 @@ func RunStream(m *machine.Machine, plan StreamPlan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// No codec.Prepare: SFC's Prepare extracts dense locals from the
-	// global array, which a streamed run never materializes — the replay
-	// encode builds locals from accumulated entries instead.
 	run := &runState{codec: c, part: plan.Partition, opts: plan.Options, format: f}
 	loc, err := partition.NewLocator(plan.Partition)
 	if err != nil {
@@ -690,56 +685,56 @@ type streamReport struct {
 	wire       int
 }
 
-// lineBucket holds one major line's streamed (minor index, value)
-// pairs in arrival order, as parallel arrays — 12 bytes per entry
+// rowBucket holds one row's streamed (column index, value) pairs in
+// arrival order, as parallel arrays — 12 bytes per entry
 // instead of sparse.Entry's 24.
-type lineBucket struct {
-	minor []int32
-	vals  []float64
+type rowBucket struct {
+	cols []int32
+	vals []float64
 }
 
 // partAccum is the receiver-side accumulator for one part: entries
 // bucketed by global row, arrival order preserved within each row.
 // Bucketing on arrival replaces the sort+dedup pass an entry-slice
 // accumulator would need at finalize — keep-last duplicate semantics
-// fall out of the cellIndex scratch overwrite instead — and sidesteps
+// fall out of the rowIndex scratch overwrite instead — and sidesteps
 // the doubling growth of one huge slice, which mattered for peak heap
 // on 10M-entry parts.
 type partAccum struct {
-	rows []lineBucket // indexed by global row
+	rows []rowBucket // indexed by global row
 }
 
 func newPartAccum(rows int) *partAccum {
-	return &partAccum{rows: make([]lineBucket, rows)}
+	return &partAccum{rows: make([]rowBucket, rows)}
 }
 
 func (a *partAccum) add(row, col int, val float64) {
 	b := &a.rows[row]
-	b.minor = append(b.minor, int32(col))
+	b.cols = append(b.cols, int32(col))
 	b.vals = append(b.vals, val)
 }
 
 // finalizeStreamPart turns a part's accumulated entries into its
 // decoded local array: replay the canonical root encode through a
-// cell accessor over the buckets, and decode with the usual receive-
+// row accessor over the buckets, and decode with the usual receive-
 // side charges. The replay's wall time lands on this rank's slot for
 // the policy's root-encode phase — on the streaming path that work
 // really does happen here, in parallel across receivers. The
-// accumulator is consumed: its buckets are released before the decode
-// so the entries and the decoded local never coexist.
+// accumulator is consumed: the replay releases each row's bucket as it
+// moves on, so the entries and the decoded local never coexist.
 func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, acc *partAccum) (compress.PartArray, streamReport, error) {
 	enc := run.codec.(canonicalEncoder)
 	rows, cols := run.part.Shape()
 	if acc == nil {
 		acc = newPartAccum(rows)
 	}
-	idx := newCellIndex(acc, enc.replayMajor(run), rows, cols)
+	idx := &rowIndex{rows: acc.rows, scratch: make([]float64, cols), cur: -1}
 	pp := &partPayload{k: k}
-	if err := enc.EncodePartAt(run, k, idx.at, pp); err != nil {
+	if err := enc.EncodePartRows(run, k, idx.row, pp); err != nil {
 		return nil, streamReport{}, fmt.Errorf("dist: %s rank %d stream encode part %d: %w", run.codec.Scheme(), rank, k, err)
 	}
 	acc.rows = nil
-	idx.lines = nil
+	idx.rows = nil
 	bd.addRankWall(run.codec.Policy().RootEncode, rank, pp.wallComp+pp.wallDist)
 	rep := streamReport{comp: pp.comp, dist: pp.dist, wire: len(pp.buf)}
 	a, err := decodeTimed(run, bd, rank, k, pp.buf, pp.meta)
@@ -752,78 +747,36 @@ func finalizeStreamPart(run *runState, bd *Breakdown, rank, k int, acc *partAccu
 	return a, rep, nil
 }
 
-// cellIndex adapts a part's accumulated entries to the dense cell-
-// accessor contract the canonical encoders replay against. Every
-// encoder scans whole major lines in order (rows for CRS/JDS and the
-// SFC dense build, columns for CCS), so the index materializes one
-// line at a time into a dense scratch and answers each at() with a
-// slice index — amortized O(1) per scanned cell, no sorting. Writing
-// a line's entries into the scratch in arrival order gives keep-last
-// duplicate semantics and lets explicit zeros erase, identical to
-// building a dense array from the same stream. A line switch clears
-// only the previous line's touched cells and releases its bucket —
-// encoders visit each line at most once (the canonicalEncoder
-// contract), so consumed lines are dead weight; dropping them as the
-// scan advances keeps the accumulated entries and the growing encoded
-// payload from ever fully coexisting.
-type cellIndex struct {
-	lines   []lineBucket
-	byCol   bool // lines are columns: at(i, j) selects line j, offset i
+// rowIndex adapts a part's accumulated entries to the row accessor the
+// canonical encoders replay against: row(gi) materializes row gi's
+// bucket into a dense scratch row and returns it — no sorting, O(1)
+// per scanned cell. Writing a row's entries in arrival order gives
+// keep-last duplicate semantics and lets explicit zeros erase,
+// identical to building a dense array from the same stream. Moving to
+// the next row clears only the previous row's touched cells and
+// releases its bucket: encoders visit each row at most once, in
+// ascending order (the canonicalEncoder contract).
+type rowIndex struct {
+	rows    []rowBucket
 	scratch []float64
 	cur     int
 }
 
-// newCellIndex stages the accessor in the codec's scan orientation. A
-// column-major replay transposes the row buckets once (counting pass,
-// exact-size placement); rows are visited in ascending order, so
-// duplicates of one cell stay adjacent in arrival order and still
-// resolve keep-last.
-func newCellIndex(acc *partAccum, major compress.Major, rows, cols int) *cellIndex {
-	if major == compress.RowMajor {
-		return &cellIndex{lines: acc.rows, scratch: make([]float64, cols), cur: -1}
-	}
-	cnt := make([]int, cols)
-	for r := range acc.rows {
-		for _, m := range acc.rows[r].minor {
-			cnt[m]++
-		}
-	}
-	lines := make([]lineBucket, cols)
-	for j, c := range cnt {
-		if c > 0 {
-			lines[j] = lineBucket{minor: make([]int32, 0, c), vals: make([]float64, 0, c)}
-		}
-	}
-	for r := range acc.rows {
-		b := acc.rows[r]
-		acc.rows[r] = lineBucket{} // consumed: the transpose owns the data now
-		for t, m := range b.minor {
-			lines[m].minor = append(lines[m].minor, int32(r))
-			lines[m].vals = append(lines[m].vals, b.vals[t])
-		}
-	}
-	return &cellIndex{lines: lines, byCol: true, scratch: make([]float64, rows), cur: -1}
-}
-
-func (c *cellIndex) at(i, j int) float64 {
-	maj, min := i, j
-	if c.byCol {
-		maj, min = j, i
-	}
-	if maj != c.cur {
+func (c *rowIndex) row(gi int) []float64 {
+	if gi != c.cur {
 		if c.cur >= 0 {
-			for _, m := range c.lines[c.cur].minor {
-				c.scratch[m] = 0
+			for _, j := range c.rows[c.cur].cols {
+				c.scratch[j] = 0
 			}
-			c.lines[c.cur] = lineBucket{}
+			c.rows[c.cur] = rowBucket{}
 		}
-		b := &c.lines[maj]
-		for t, m := range b.minor {
-			c.scratch[m] = b.vals[t]
+		b := &c.rows[gi]
+		for t, j := range b.cols {
+			c.scratch[j] = b.vals[t]
 		}
-		c.cur = maj
+		c.cur = gi
 	}
-	return c.scratch[min]
+	return c.scratch
 }
 
 // recvStream is every non-root rank's streaming receive loop: buffer

@@ -18,6 +18,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/cost"
@@ -57,8 +58,9 @@ func (t *Topology) RouteCharge(from, to, words int) time.Duration {
 func newTopology(name string, p int) *Topology {
 	t := &Topology{Name: name}
 	t.routes = make([][][]int, p)
+	cells := make([][]int, p*p)
 	for i := range t.routes {
-		t.routes[i] = make([][]int, p)
+		t.routes[i] = cells[i*p : (i+1)*p : (i+1)*p]
 	}
 	return t
 }
@@ -129,10 +131,13 @@ func Build(name string, p int, params cost.Params, linkBW float64, linkLatency t
 // model where a root's send to itself pays the full wire cost.
 func buildUniform(p int, l Link) *Topology {
 	t := newTopology("uniform", p)
+	t.Links = make([]Link, 0, p*p)
+	hops := make([]int, p*p) // one backing array for every one-hop route
 	for from := 0; from < p; from++ {
 		for to := 0; to < p; to++ {
-			li := t.addLink(Link{Name: fmt.Sprintf("u%d>%d", from, to), Latency: l.Latency, PerWord: l.PerWord})
-			t.routes[from][to] = []int{li}
+			li := t.addLink(Link{Name: "u" + strconv.Itoa(from) + ">" + strconv.Itoa(to), Latency: l.Latency, PerWord: l.PerWord})
+			hops[li] = li
+			t.routes[from][to] = hops[li : li+1 : li+1]
 		}
 	}
 	return t
